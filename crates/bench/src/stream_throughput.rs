@@ -2,11 +2,13 @@
 //!
 //! Simulates the amplification event stream over the repro corpus,
 //! quick-trains a CTH classifier, and times [`incite_stream::run_watch`]
-//! driving the two-axis threat ranker over the whole stream. Alongside
-//! the throughput numbers it re-checks the subsystem's two determinism
-//! gates in-process — rankings byte-identical across thread counts, and
-//! a checkpoint/resume split byte-identical to the uninterrupted run —
-//! and emits a `BENCH {...}` line for CI.
+//! driving the two-axis threat ranker over the whole stream, without a
+//! state directory and with one (a checkpoint after every epoch, as
+//! `incite watch --state` runs). Alongside the throughput numbers it
+//! re-checks the subsystem's two determinism gates in-process — rankings
+//! byte-identical across thread counts and with checkpointing on, and a
+//! checkpoint/resume split byte-identical to the uninterrupted run — and
+//! emits a `BENCH {...}` line for CI.
 
 use crate::context::ReproContext;
 use incite_ml::{FeaturizerConfig, TextClassifier, TrainConfig};
@@ -23,6 +25,11 @@ struct BenchReport {
     epochs: u64,
     events_per_sec: f64,
     epoch_ms: f64,
+    /// Events/sec of the 4-thread run with a checkpoint after every epoch.
+    checkpointed_events_per_sec: f64,
+    /// Bytes that checkpointed run wrote per epoch (Linux `wchar`; 0 where
+    /// `/proc/self/io` is unavailable).
+    state_bytes_per_epoch: f64,
     byte_identical: bool,
     resume_identical: bool,
 }
@@ -104,15 +111,42 @@ pub fn run(ctx: &mut ReproContext) -> String {
         }
         rankings.push(outcome.rankings);
     }
-    let byte_identical = rankings[0] == rankings[1];
+    let dir = std::env::temp_dir().join(format!("incite-stream-bench-{}", std::process::id()));
+
+    // The same 4-thread run checkpointing every epoch into a fresh
+    // state directory.
+    std::fs::remove_dir_all(&dir).ok();
+    let mut checkpointed = config(4);
+    checkpointed.state_dir = Some(dir.clone());
+    let written_before = bytes_written();
+    let start = Instant::now();
+    let outcome = match run_watch(&stream, &doc_texts, &classifier, &checkpointed) {
+        Ok(outcome) => outcome,
+        Err(err) => {
+            let _ = writeln!(s, "checkpointed watch run failed: {err}");
+            return s;
+        }
+    };
+    let checkpointed_secs = start.elapsed().as_secs_f64();
+    let state_bytes = bytes_written().saturating_sub(written_before);
+    let checkpointed_events_per_sec = outcome.events as f64 / checkpointed_secs.max(1e-9);
+    let state_bytes_per_epoch = state_bytes as f64 / outcome.epochs.max(1) as f64;
     let _ = writeln!(
         s,
-        "rankings byte-identical across threads: {byte_identical}"
+        "4 thread(s), checkpointed: {checkpointed_events_per_sec:>9.1} events/sec \
+         ({:.2}x the uncheckpointed run), {state_bytes_per_epoch:.0} state bytes written/epoch",
+        timed_secs / checkpointed_secs.max(1e-9),
+    );
+    rankings.push(outcome.rankings);
+
+    let byte_identical = rankings[0] == rankings[1] && rankings[1] == rankings[2];
+    let _ = writeln!(
+        s,
+        "rankings byte-identical across threads and with checkpointing: {byte_identical}"
     );
 
     // Checkpoint/resume split: two epochs saved, fresh invocation resumes
     // and must land on the same bytes as the uninterrupted run.
-    let dir = std::env::temp_dir().join(format!("incite-stream-bench-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let mut first = config(4);
     first.state_dir = Some(dir.clone());
@@ -137,6 +171,8 @@ pub fn run(ctx: &mut ReproContext) -> String {
         epochs: timed_epochs,
         events_per_sec: timed_events as f64 / timed_secs.max(1e-9),
         epoch_ms: 1e3 * timed_secs / timed_epochs.max(1) as f64,
+        checkpointed_events_per_sec,
+        state_bytes_per_epoch,
         byte_identical,
         resume_identical,
     };
@@ -149,4 +185,17 @@ pub fn run(ctx: &mut ReproContext) -> String {
         }
     }
     s
+}
+
+/// Bytes this process has handed to `write(2)` so far (`wchar` in
+/// `/proc/self/io`), or 0 where that file does not exist.
+fn bytes_written() -> u64 {
+    std::fs::read_to_string("/proc/self/io")
+        .ok()
+        .and_then(|io| {
+            io.lines()
+                .find_map(|line| line.strip_prefix("wchar:"))
+                .and_then(|v| v.trim().parse().ok())
+        })
+        .unwrap_or(0)
 }

@@ -941,6 +941,20 @@ mod tests {
         let text = String::from_utf8(out)?;
         assert!(text.contains("resumed from checkpointed state"), "{text}");
         assert_eq!(rankings_of(&text)?, reference);
+
+        // JSON state from earlier versions is refused, not silently
+        // restarted over.
+        let v1 = br#"{"version":1,"stream_digest":"x","actors":[],"docs":[]}"#;
+        incite_core::checkpoint::atomic_io::write_hashed(&state_dir.join("STREAM.ckpt"), v1)
+            .map_err(|e| err(e.to_string()))?;
+        let Err(e) = run(
+            "watch",
+            &watch_flags(&[("state", &state)])?,
+            &mut Vec::new(),
+        ) else {
+            return Err(err("watch over old-format state unexpectedly succeeded"));
+        };
+        assert!(e.0.contains("checkpointed state"), "{e}");
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }

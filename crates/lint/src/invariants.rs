@@ -16,7 +16,8 @@
 //!   writes (`out[i] = …`) and accumulators declared inside the closure
 //!   are fine; so is folding the returned slot vector sequentially.
 //! * **INC016 unchecked-wire-arithmetic** — interval-lite dataflow over
-//!   the two wire decoders (`corpus/src/jsonl.rs`, `stream/src/event.rs`):
+//!   the wire decoders (`corpus/src/jsonl.rs`, `stream/src/event.rs`,
+//!   `stream/src/state.rs`):
 //!   a value originating from a wire decode (`from_le_bytes`, `.parse(`,
 //!   `serde_json::from_str(…)`, …) must not flow into bare `+`/`*`
 //!   arithmetic or a narrowing `as` cast until it is bounded by a
@@ -312,7 +313,11 @@ fn inc015(ws: &Workspace, findings: &mut Vec<Finding>, fuel: &mut u64) {
 // ------------------------------------------------------------------
 
 /// The wire decoders under interval discipline.
-const INC016_FILES: &[&str] = &["corpus/src/jsonl.rs", "stream/src/event.rs"];
+const INC016_FILES: &[&str] = &[
+    "corpus/src/jsonl.rs",
+    "stream/src/event.rs",
+    "stream/src/state.rs",
+];
 
 /// Needles whose results are attacker-controlled wire values.
 const WIRE_SOURCES: &[&str] = &[

@@ -284,9 +284,9 @@ pub const CATALOG: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "INC016",
-        summary: "wire-decoded lengths/offsets in corpus::jsonl and \
-                  stream::event are bounded before +/*/narrowing-as \
-                  arithmetic",
+        summary: "wire-decoded lengths/offsets in corpus::jsonl, \
+                  stream::event and stream::state are bounded before \
+                  +/*/narrowing-as arithmetic",
         contract: "Values decoded from wire bytes (`from_le_bytes`, \
                    `.parse(..)`, `serde_json::from_str(..)`) are attacker- \
                    controlled: until a bound guard (`<`/`<=`/`.min(..)`/\

@@ -16,7 +16,7 @@
 //!   overlap via [`incite_ml::TopicFingerprint`], ranked per-target
 //!   threat lists on the toxicity × overlap plane with evidence.
 //! * [`state`] — checkpoint/resume of ranker state through the
-//!   `atomic_io` funnel.
+//!   `atomic_io` funnel: a binary snapshot plus a per-epoch delta log.
 //! * [`watch`] — the epoch loop tying it together, with failpoint sites
 //!   at both sides of the checkpoint boundary for the kill/resume sweep.
 //!
@@ -58,8 +58,15 @@ pub enum StreamError {
     BadEventLine { line: usize },
     /// The input is not an event stream (missing or foreign header).
     MissingHeader,
-    /// A checkpoint was written for a different stream or configuration.
+    /// A checkpoint was written for a different stream or configuration,
+    /// or is not in this version's format.
     StateMismatch,
+    /// Checkpointed bytes passed their integrity hash but do not decode;
+    /// `offset` is where decoding failed.
+    StateCorrupt { offset: usize },
+    /// The delta log skips epochs: a record starts at `found`, not at
+    /// the `expected` epoch the state before it reached.
+    StateGap { expected: u64, found: u64 },
     /// Serialization failed (vendored serde refused a value).
     Encode,
     /// A deterministic fault injected at a failpoint site (test builds).
@@ -89,7 +96,14 @@ impl std::fmt::Display for StreamError {
             }
             StreamError::StateMismatch => write!(
                 f,
-                "checkpointed state was written for a different stream or config"
+                "checkpointed state was written for a different stream, config or format"
+            ),
+            StreamError::StateCorrupt { offset } => {
+                write!(f, "checkpointed state does not decode at byte {offset}")
+            }
+            StreamError::StateGap { expected, found } => write!(
+                f,
+                "checkpoint log skips epochs: a record starts at epoch {found}, not {expected}"
             ),
             StreamError::Encode => write!(f, "serialization failed"),
             StreamError::Fault(fault) => write!(f, "injected fault: {fault}"),

@@ -20,11 +20,16 @@
 //! cross-event fold is sequential; all maps are `BTreeMap`/`BTreeSet`.
 //! Rankings are therefore byte-identical at any thread count.
 //!
+//! Every row an epoch changes (an actor, a document, a follower set, a
+//! target) is stamped with that epoch's number, so [`crate::state`] can
+//! checkpoint only the rows changed since the last durable epoch.
+//!
 //! The ranker never reads ground truth: targets come from the post
 //! events' platform metadata (the @-mention), toxicity from the
 //! checkpointed classifier, overlap from observed posting history.
 
 use crate::event::{EventKind, EventStream};
+use crate::state::DurableLink;
 use crate::StreamError;
 use incite_core::engine::ScoringEngine;
 use incite_core::parallel::map_indexed;
@@ -125,6 +130,8 @@ pub(crate) struct ActorState {
     pub(crate) history: Vec<u64>,
     /// Total posts observed.
     pub(crate) posts: u64,
+    /// Epoch that last changed this row (0 = not since the last load).
+    pub(crate) changed: u64,
 }
 
 /// Per-document streaming state.
@@ -136,6 +143,16 @@ pub(crate) struct DocState {
     pub(crate) fingerprint: TopicFingerprint,
     /// Actors already exposed (the author, plus every amplified audience).
     pub(crate) exposed: BTreeSet<u32>,
+    /// Epoch that last changed this row (0 = not since the last load).
+    pub(crate) changed: u64,
+}
+
+/// One followee's follower set.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FollowerSet {
+    pub(crate) followers: BTreeSet<u32>,
+    /// Epoch that last changed this row (0 = not since the last load).
+    pub(crate) changed: u64,
 }
 
 /// Per-target ranking state with its adaptive threshold ladder.
@@ -149,6 +166,8 @@ pub(crate) struct TargetState {
     pub(crate) admitted: u32,
     /// Ranked evidence, best first, at most `top_k`.
     pub(crate) entries: Vec<ThreatEntry>,
+    /// Epoch that last changed this row (0 = not since the last load).
+    pub(crate) changed: u64,
 }
 
 /// An exposure snapshot taken during sequential event application; the
@@ -170,12 +189,14 @@ pub struct ThreatRanker {
     pub(crate) config: RankerConfig,
     pub(crate) actors: Vec<ActorState>,
     /// followee → followers.
-    pub(crate) follows: BTreeMap<u32, BTreeSet<u32>>,
+    pub(crate) follows: BTreeMap<u32, FollowerSet>,
     pub(crate) docs: BTreeMap<u64, DocState>,
     pub(crate) targets: BTreeMap<u32, TargetState>,
     /// Next unprocessed stream position.
     pub(crate) next_event: usize,
     pub(crate) epochs_done: u64,
+    /// What this ranker last made durable, and where (see [`crate::state`]).
+    pub(crate) durable: DurableLink,
 }
 
 impl ThreatRanker {
@@ -189,6 +210,7 @@ impl ThreatRanker {
             targets: BTreeMap::new(),
             next_event: 0,
             epochs_done: 0,
+            durable: DurableLink::default(),
         }
     }
 
@@ -221,12 +243,15 @@ impl ThreatRanker {
         classifier: &TextClassifier,
     ) -> Result<usize, StreamError> {
         let start = self.next_event;
-        let end = (start + self.config.epoch_len).min(stream.events.len());
+        let end = start
+            .saturating_add(self.config.epoch_len)
+            .min(stream.events.len());
         if start >= end {
             return Ok(0);
         }
         let epoch = &stream.events[start..end];
         let threads = self.config.threads;
+        let stamp = self.epochs_done + 1;
 
         // 1+2. Score and fingerprint every document first posted in this
         // epoch, in first-appearance order.
@@ -261,10 +286,10 @@ impl ThreatRanker {
         for event in epoch {
             match event.kind {
                 EventKind::Follow { follower, followee } => {
-                    self.follows
-                        .entry(followee.0)
-                        .or_default()
-                        .insert(follower.0);
+                    let set = self.follows.entry(followee.0).or_default();
+                    if set.followers.insert(follower.0) {
+                        set.changed = stamp;
+                    }
                 }
                 EventKind::Post {
                     doc,
@@ -288,6 +313,7 @@ impl ThreatRanker {
                     }
                     actor.history.push(doc.0);
                     actor.posts += 1;
+                    actor.changed = stamp;
                     let mut exposed = BTreeSet::new();
                     exposed.insert(author.0);
                     self.docs.insert(
@@ -298,6 +324,7 @@ impl ThreatRanker {
                             toxicity_bits,
                             fingerprint,
                             exposed,
+                            changed: stamp,
                         },
                     );
                 }
@@ -309,12 +336,14 @@ impl ThreatRanker {
                                 event: event.id.0,
                                 doc: doc.0,
                             })?;
-                    state.exposed.insert(amplifier.0);
+                    if state.exposed.insert(amplifier.0) {
+                        state.changed = stamp;
+                    }
                     let audience: Vec<u32> = self
                         .follows
                         .get(&amplifier.0)
-                        .map(|followers| {
-                            followers
+                        .map(|set| {
+                            set.followers
                                 .iter()
                                 .copied()
                                 .filter(|f| !state.exposed.contains(f))
@@ -323,6 +352,7 @@ impl ThreatRanker {
                         .unwrap_or_default();
                     for member in audience {
                         state.exposed.insert(member);
+                        state.changed = stamp;
                         let Some(target) = state.target else { continue };
                         if member == target {
                             continue; // the target seeing it is not audience risk
@@ -363,6 +393,7 @@ impl ThreatRanker {
             let candidates = &self.config.thresholds.candidates;
             let threshold = candidates[target.ladder_idx.min(candidates.len() - 1)];
             target.seen += 1;
+            target.changed = stamp;
             let toxicity = f32::from_bits(exposure.toxicity_bits);
             if f64::from(toxicity) > threshold && *overlap > 0.0 {
                 target.admitted += 1;

@@ -1,22 +1,27 @@
 //! The `incite watch` epoch loop: consume events, checkpoint, repeat.
 //!
 //! Each iteration processes one epoch through the ranker, then saves
-//! state through the `atomic_io` funnel. Failpoint sites bracket the
-//! checkpoint boundary exactly the way the pipeline's sweep does:
+//! state through [`crate::state`]: usually one delta record appended to
+//! `STREAM.log`, sometimes a compaction into a fresh `STREAM.ckpt`
+//! snapshot. Failpoint sites bracket the checkpoint boundary exactly the
+//! way the pipeline's sweep does, and one more sits inside compaction:
 //!
 //! * `stream-mid-epoch-<n>` fires after epoch `n` is computed but
 //!   *before* its checkpoint — a resume replays the whole epoch from the
 //!   previous state and must discard the partial work cleanly;
+//! * `stream-mid-compaction-<n>` fires when epoch `n`'s save compacts,
+//!   after the new snapshot is renamed into place but before the log is
+//!   reset — a resume loads the snapshot and skips the stale log;
 //! * `stream-after-epoch-<n>` fires after the checkpoint — a resume
 //!   skips the completed epoch.
 //!
-//! The kill/resume sweep in `tests/determinism.rs` iterates both site
-//! families and asserts byte-identical rankings against an uninterrupted
-//! run.
+//! The kill/resume sweep in `tests/determinism.rs` iterates all three
+//! site families and asserts byte-identical rankings against an
+//! uninterrupted run.
 
 use crate::event::EventStream;
 use crate::ranker::{RankerConfig, ThreatRanker};
-use crate::state::{has_state, load_state, save_state};
+use crate::state::{has_state, load_state, save_swept};
 use crate::StreamError;
 use incite_core::failpoint::FailpointRegistry;
 use incite_ml::TextClassifier;
@@ -86,7 +91,7 @@ pub fn run_watch(
             .failpoints
             .check(&format!("stream-mid-epoch-{epoch}"))?;
         if let Some(dir) = &config.state_dir {
-            save_state(dir, &ranker, &digest)?;
+            save_swept(dir, &ranker, &digest, &config.failpoints)?;
         }
         // Boundary site: the epoch is durably checkpointed.
         config
