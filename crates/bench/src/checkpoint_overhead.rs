@@ -6,8 +6,9 @@
 //! model weights, thresholds and engine stats, each written atomically with
 //! an FNV-64 integrity footer and recorded in the run manifest. This
 //! experiment times both entry points on the same corpus and
-//! configuration, checks the two outcomes are byte-identical (`PartialEq`
-//! plus [`incite_core::PipelineOutcome::digest`]), and emits a single
+//! configuration in interleaved pairs, gates on the median of the
+//! per-pair overhead ratios, checks the two outcomes are byte-identical
+//! (`PartialEq` plus [`incite_core::PipelineOutcome::digest`]), and emits a single
 //! machine-readable `BENCH {...}` line that CI greps for
 //! `"overhead_ok":true` — the acceptance bar is checkpointing costing
 //! under 10 % of wall-clock on quick corpora.
@@ -15,6 +16,7 @@
 use crate::context::ReproContext;
 use incite_core::checkpoint::{Manifest, MANIFEST_FILE};
 use incite_core::{clear_run_dir, run_pipeline, run_pipeline_resumable, Task};
+use incite_stats::descriptive::median;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -25,6 +27,7 @@ struct BenchReport {
     task: &'static str,
     docs: usize,
     steps_checkpointed: usize,
+    pairs: usize,
     plain_secs: f64,
     resumable_secs: f64,
     overhead_frac: f64,
@@ -40,11 +43,12 @@ const OVERHEAD_BUDGET: f64 = 0.10;
 /// wall-clock is fixed-latency-bound and the ratio is noise.
 const MIN_MEASUREMENT_DOCS: usize = 20_000;
 
-/// Timing repetitions; the median-free minimum over a few runs is stable
-/// enough for a pass/fail ratio without a Criterion dependency. Five
-/// repetitions because the measured filesystems jitter individual runs
-/// by up to ±15 % — the minimum of five keeps the ratio honest.
-const REPS: usize = 5;
+/// Interleaved plain/resumable pairs. Each pair runs both paths back to
+/// back (alternating which goes first), so a slow stretch of the host
+/// slows both halves of a pair alike; the gate is the median of the
+/// per-pair overhead ratios, which one noisy pair cannot move. An odd
+/// count keeps the median a measured pair.
+const PAIRS: usize = 41;
 
 /// Number of steps the finished run recorded, read from the manifest
 /// (core snapshots are embedded there; there is no per-step state file).
@@ -79,33 +83,42 @@ pub fn run(ctx: &mut ReproContext) -> String {
     let run_dir = std::env::temp_dir().join(format!("incite-bench-ckpt-{}", std::process::id()));
 
     // Plain path: the in-memory pipeline, no persistence at all.
-    let mut plain_secs = f64::INFINITY;
+    // Resumable path: a fresh run directory each time, so every run pays
+    // the full cost of writing (never reading) each checkpoint. One
+    // untimed plain run first warms the allocator and page cache.
+    let _ = run_pipeline(corpus, task, &config);
+    let mut plain_times = Vec::with_capacity(PAIRS);
+    let mut resumable_times = Vec::with_capacity(PAIRS);
+    let mut ratios = Vec::with_capacity(PAIRS);
     let mut plain_outcome = None;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let outcome = run_pipeline(corpus, task, &config);
-        plain_secs = plain_secs.min(start.elapsed().as_secs_f64());
-        plain_outcome = outcome.ok();
-    }
-
-    // Resumable path: a fresh run directory each repetition, so every run
-    // pays the full cost of writing (never reading) each checkpoint.
-    let mut resumable_secs = f64::INFINITY;
     let mut resumable_outcome = None;
     let mut steps = 0;
-    for _ in 0..REPS {
+    for pair in 0..PAIRS {
         if clear_run_dir(&run_dir).is_err() {
             s.push_str("checkpoint_overhead: cannot clear bench run dir; skipping\n");
             return s;
         }
-        let start = Instant::now();
-        let outcome = run_pipeline_resumable(corpus, task, &config, &run_dir);
-        resumable_secs = resumable_secs.min(start.elapsed().as_secs_f64());
-        resumable_outcome = outcome.ok();
+        let mut plain_secs = 0.0;
+        let mut resumable_secs = 0.0;
+        for leg in 0..2 {
+            let start = Instant::now();
+            if (pair + leg) % 2 == 0 {
+                plain_outcome = run_pipeline(corpus, task, &config).ok();
+                plain_secs = start.elapsed().as_secs_f64();
+            } else {
+                resumable_outcome = run_pipeline_resumable(corpus, task, &config, &run_dir).ok();
+                resumable_secs = start.elapsed().as_secs_f64();
+            }
+        }
         steps = manifest_steps(&run_dir).unwrap_or(0);
+        plain_times.push(plain_secs);
+        resumable_times.push(resumable_secs);
+        ratios.push(resumable_secs / plain_secs.max(1e-9) - 1.0);
     }
     clear_run_dir(&run_dir).ok();
     std::fs::remove_dir(&run_dir).ok();
+    let plain_secs = median(&plain_times);
+    let resumable_secs = median(&resumable_times);
 
     let (Some(plain), Some(resumable)) = (plain_outcome, resumable_outcome) else {
         s.push_str("checkpoint_overhead: a pipeline run failed; no BENCH line\n");
@@ -115,11 +128,11 @@ pub fn run(ctx: &mut ReproContext) -> String {
     // The determinism contract (DESIGN.md §12): checkpointing must not
     // perturb the outcome by a single byte.
     let outcome_identical = plain == resumable && plain.digest() == resumable.digest();
-    let overhead_frac = (resumable_secs - plain_secs).max(0.0) / plain_secs.max(1e-9);
+    let overhead_frac = median(&ratios).max(0.0);
 
     let _ = writeln!(
         s,
-        "documents: {} | task: {} | checkpointed steps: {steps} | reps: {REPS} (min taken)",
+        "documents: {} | task: {} | checkpointed steps: {steps} | pairs: {PAIRS} (interleaved, medians)",
         corpus.len(),
         task.slug(),
     );
@@ -127,7 +140,7 @@ pub fn run(ctx: &mut ReproContext) -> String {
     let _ = writeln!(s, "resumable pipeline : {resumable_secs:>8.3}s");
     let _ = writeln!(
         s,
-        "checkpoint overhead: {:.1}% (budget {:.0}%) | outcome identical: {outcome_identical} | digest {:016x}",
+        "checkpoint overhead: {:.1}% (median per-pair ratio; budget {:.0}%) | outcome identical: {outcome_identical} | digest {:016x}",
         100.0 * overhead_frac,
         100.0 * OVERHEAD_BUDGET,
         resumable.digest(),
@@ -138,6 +151,7 @@ pub fn run(ctx: &mut ReproContext) -> String {
         task: task.slug(),
         docs: corpus.len(),
         steps_checkpointed: steps,
+        pairs: PAIRS,
         plain_secs,
         resumable_secs,
         overhead_frac,

@@ -8,9 +8,15 @@
 //! corpus for every feature mode, verifies the sparse vectors are
 //! byte-identical per document (index equality and `f32::to_bits` value
 //! equality), and emits a `BENCH {...}` line for CI.
+//!
+//! The line also carries the fit kernel: `fit_words_per_sec` is a subword
+//! [`Featurizer::fit`] (WordPiece training) over every text of the
+//! corpus, the median of [`FIT_RUNS`] timed runs.
 
 use crate::context::ReproContext;
 use incite_ml::{FeatureMode, Featurizer, FeaturizerConfig};
+use incite_stats::descriptive::median;
+use incite_textkit::{normalize, tokenize, TokenKind};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -25,6 +31,27 @@ struct BenchReport {
     speedup: f64,
     speedup_ok: bool,
     byte_identical: bool,
+    fit_words: usize,
+    fit_words_per_sec: f64,
+}
+
+/// Timed subword fits; the reported rate is their median.
+const FIT_RUNS: usize = 5;
+
+/// Median-of-[`FIT_RUNS`] wall seconds of a subword fit over `texts`.
+fn fit_secs(texts: &[&str]) -> f64 {
+    let config = FeaturizerConfig {
+        mode: FeatureMode::Subword,
+        ..FeaturizerConfig::default()
+    };
+    let secs: Vec<f64> = (0..FIT_RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(Featurizer::fit(config.clone(), texts.iter().copied()));
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    median(&secs)
 }
 
 pub fn run(ctx: &mut ReproContext) -> String {
@@ -93,6 +120,23 @@ pub fn run(ctx: &mut ReproContext) -> String {
         "all modes: {legacy_rate:.1} -> {rolling_rate:.1} docs/sec | speedup: {speedup:.2}x | byte-identical: {byte_identical}"
     );
 
+    // The words a subword fit trains on: the non-punctuation tokens of
+    // every normalized text.
+    let fit_words: usize = texts
+        .iter()
+        .map(|t| {
+            tokenize(&normalize(t))
+                .iter()
+                .filter(|tok| tok.kind != TokenKind::Punct)
+                .count()
+        })
+        .sum();
+    let fit_rate = fit_words as f64 / fit_secs(&texts).max(1e-9);
+    let _ = writeln!(
+        s,
+        "subword fit: {fit_words} words | {fit_rate:.1} words/sec (median of {FIT_RUNS})"
+    );
+
     let bench = BenchReport {
         experiment: "featurize_throughput",
         docs: texts.len(),
@@ -102,6 +146,8 @@ pub fn run(ctx: &mut ReproContext) -> String {
         speedup,
         speedup_ok: speedup >= 1.0,
         byte_identical,
+        fit_words,
+        fit_words_per_sec: fit_rate,
     };
     match serde_json::to_string(&bench) {
         Ok(line) => {

@@ -8,7 +8,7 @@
 //! *which* attacks it incites.
 
 use incite_ml::model::EvalReport;
-use incite_ml::{FeatureMode, FeaturizerConfig, TextClassifier, TrainConfig};
+use incite_ml::{Dataset, FeatureMode, Featurizer, FeaturizerConfig, TextClassifier, TrainConfig};
 use incite_taxonomy::{AttackType, LabelSet};
 
 /// Minimum positive examples required to train a head for an attack type;
@@ -73,27 +73,36 @@ impl AttackTypeClassifier {
     /// harassment, then calibrates each head's threshold for best F1 on the
     /// training data. `labeled` pairs each document text with its (multi-)
     /// label set.
+    ///
+    /// The featurizer is fitted on the texts alone, so one fit and one
+    /// featurize pass serve every head: each head relabels the shared rows,
+    /// trains on them and calibrates from them.
     pub fn train(
         labeled: &[(String, LabelSet)],
         featurizer: FeaturizerConfig,
         train: TrainConfig,
     ) -> Self {
+        let fitted = Featurizer::fit(featurizer, labeled.iter().map(|(text, _)| text.as_str()));
+        let mut rows = Dataset::new();
+        for (text, _) in labeled {
+            rows.push(fitted.features(text), false);
+        }
         let mut heads = Vec::new();
         let mut skipped = Vec::new();
         for attack in AttackType::ALL {
-            let data: Vec<(&str, bool)> = labeled
-                .iter()
-                .map(|(text, labels)| (text.as_str(), labels.contains_parent(attack)))
-                .collect();
-            let positives = data.iter().filter(|(_, l)| *l).count();
-            if positives < MIN_POSITIVES || positives + MIN_POSITIVES > data.len() {
+            for (row, (_, labels)) in rows.examples.iter_mut().zip(labeled) {
+                row.label = labels.contains_parent(attack);
+            }
+            let positives = rows.positives();
+            if positives < MIN_POSITIVES || positives + MIN_POSITIVES > rows.len() {
                 skipped.push(attack);
                 continue;
             }
-            let classifier = TextClassifier::train(data.clone(), featurizer.clone(), train);
-            let scored: Vec<(f32, bool)> = data
+            let classifier = TextClassifier::train_features(fitted.clone(), &rows, train);
+            let scored: Vec<(f32, bool)> = rows
+                .examples
                 .iter()
-                .map(|(t, l)| (classifier.score(t), *l))
+                .map(|row| (classifier.model().predict_proba(&row.features), row.label))
                 .collect();
             let threshold = best_f1_threshold(&scored);
             heads.push(Head {
@@ -195,6 +204,68 @@ mod tests {
             .collect();
         let mid = all.len() / 2;
         (all[..mid].to_vec(), all[mid..].to_vec())
+    }
+
+    /// The per-head path the shared-rows `train` replaced: every head fits
+    /// its own featurizer, featurizes the texts again and calibrates
+    /// through `score`.
+    fn train_per_head(
+        labeled: &[(String, LabelSet)],
+        featurizer: FeaturizerConfig,
+        train: TrainConfig,
+    ) -> AttackTypeClassifier {
+        let mut heads = Vec::new();
+        let mut skipped = Vec::new();
+        for attack in AttackType::ALL {
+            let data: Vec<(&str, bool)> = labeled
+                .iter()
+                .map(|(text, labels)| (text.as_str(), labels.contains_parent(attack)))
+                .collect();
+            let positives = data.iter().filter(|(_, l)| *l).count();
+            if positives < MIN_POSITIVES || positives + MIN_POSITIVES > data.len() {
+                skipped.push(attack);
+                continue;
+            }
+            let classifier = TextClassifier::train(data.clone(), featurizer.clone(), train);
+            let scored: Vec<(f32, bool)> = data
+                .iter()
+                .map(|(t, l)| (classifier.score(t), *l))
+                .collect();
+            let threshold = best_f1_threshold(&scored);
+            heads.push(Head {
+                attack,
+                classifier,
+                threshold,
+            });
+        }
+        AttackTypeClassifier { heads, skipped }
+    }
+
+    #[test]
+    fn shared_rows_match_per_head_training_bit_for_bit() {
+        let (train, dev) = labeled_corpus();
+        let subword = FeaturizerConfig {
+            mode: FeatureMode::Subword,
+            vocab_size: 512,
+            ..default_featurizer()
+        };
+        for config in [default_featurizer(), subword] {
+            let shared =
+                AttackTypeClassifier::train(&train, config.clone(), TrainConfig::default());
+            let reference = train_per_head(&train, config.clone(), TrainConfig::default());
+            assert_eq!(shared.covered_types(), reference.covered_types());
+            assert_eq!(shared.skipped, reference.skipped);
+            for attack in shared.covered_types() {
+                let bits = |c: &AttackTypeClassifier| c.threshold(attack).map(f32::to_bits);
+                assert_eq!(bits(&shared), bits(&reference), "{attack:?} threshold");
+            }
+            for (text, _) in train.iter().chain(&dev).take(400) {
+                let bits = |c: &AttackTypeClassifier| -> Vec<u32> {
+                    c.predict(text).iter().map(|(_, s)| s.to_bits()).collect()
+                };
+                assert_eq!(bits(&shared), bits(&reference), "{:?}", config.mode);
+            }
+        }
     }
 
     #[test]

@@ -32,14 +32,10 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// FNV-1a 64-bit content hash.
+/// FNV-1a 64-bit content hash: the workspace's one FNV-1a,
+/// [`incite_textkit::fnv1a`], unseeded.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    incite_textkit::fnv1a(bytes, 0)
 }
 
 /// [`fnv64`] rendered as the fixed-width hex used in footers and manifests.
@@ -256,7 +252,11 @@ mod tests {
 
     #[test]
     fn fnv_is_stable_and_sensitive() {
+        // Golden values: checkpoint footers, manifests and lint cache
+        // hashes on disk are these bytes, so they must never move.
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv64_hex(b"foobar"), "85944171f73967e8");
         assert_ne!(fnv64(b"abc"), fnv64(b"abd"));
         assert_eq!(fnv64_hex(b"abc").len(), 16);
     }

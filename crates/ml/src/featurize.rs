@@ -8,8 +8,8 @@
 
 use crate::sparse::{merge, SparseVec};
 use incite_textkit::{
-    char_ngrams, normalize, sample_spans, tokenize, EncodeScratch, FeatureHasher, SpanStrategy,
-    SplitMix64, TokenKind, WordPieceEncoder, WordPieceTrainer,
+    char_ngrams, fnv1a, normalize, sample_spans, tokenize, EncodeScratch, FeatureHasher,
+    SpanStrategy, SplitMix64, TokenKind, WordPieceEncoder, WordPieceTrainer, WordPieceVocab,
 };
 
 /// Which token stream feeds the n-gram extractor.
@@ -119,6 +119,14 @@ impl Featurizer {
         &self.config
     }
 
+    /// The WordPiece vocabulary trained at fit time (`Subword` mode only).
+    pub fn vocab(&self) -> Option<&WordPieceVocab> {
+        match &self.stream {
+            TokenStream::Subword(encoder) => Some(encoder.vocab()),
+            TokenStream::Word | TokenStream::Char => None,
+        }
+    }
+
     /// Number of feature dimensions.
     pub fn dimensions(&self) -> usize {
         self.hasher.dimensions()
@@ -144,7 +152,7 @@ impl Featurizer {
     /// Shared span-sampling + merge + L2 skeleton of both featurize paths.
     fn features_with(&self, text: &str, span_features: impl Fn(&str) -> SparseVec) -> SparseVec {
         let norm = normalize(text);
-        let doc_hash = fnv(norm.as_bytes());
+        let doc_hash = fnv1a(norm.as_bytes(), 0);
         let mut rng = SplitMix64::new(self.config.seed ^ doc_hash);
         let spans = sample_spans(
             &norm,
@@ -273,15 +281,6 @@ fn push_decimal(buf: &mut Vec<u8>, mut v: u32) {
         }
     }
     buf.extend_from_slice(&digits[i..]);
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -55,7 +55,18 @@ impl TextClassifier {
         for (text, label) in labeled {
             data.push(featurizer.features(text), label);
         }
-        let model = LogisticRegression::train(&data, featurizer.dimensions(), train_config);
+        Self::train_features(featurizer, &data, train_config)
+    }
+
+    /// Trains the linear model over examples already featurized by
+    /// `featurizer` — the featurize-once path for callers that fit one
+    /// featurizer and train several models on the same rows.
+    pub fn train_features(
+        featurizer: Featurizer,
+        data: &Dataset,
+        train_config: TrainConfig,
+    ) -> Self {
+        let model = LogisticRegression::train(data, featurizer.dimensions(), train_config);
         TextClassifier { featurizer, model }
     }
 
@@ -78,8 +89,7 @@ impl TextClassifier {
             labeled.clone().into_iter().map(|(_, text, _)| text),
         );
         let data = cache.dataset(&featurizer, labeled);
-        let model = LogisticRegression::train(&data, featurizer.dimensions(), train_config);
-        TextClassifier { featurizer, model }
+        Self::train_features(featurizer, &data, train_config)
     }
 
     /// Retrains the linear model on new labels while keeping the fitted

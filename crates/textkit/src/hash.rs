@@ -24,6 +24,7 @@ const SIGN_SEED: u64 = 0x5bd1_e995;
 /// Seeded FNV-1a over raw bytes. Public because a 64-bit digest is the
 /// workspace's standard content-free stand-in for text in diagnostics
 /// (a registered sanitizer in the incite-lint taint model).
+#[inline]
 pub fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
     let mut hash = FNV_OFFSET ^ seed;
     for &b in bytes {
@@ -195,6 +196,16 @@ impl FeatureHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_golden_values() {
+        // The published FNV-1a 64 test vectors. Checkpoint footers, lint
+        // cache hashes and the featurizer's span-sampling seeds are all
+        // `fnv1a(_, 0)`, so these must never change.
+        assert_eq!(fnv1a(b"", 0), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a", 0), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar", 0), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn indices_within_dimensions() {

@@ -11,7 +11,9 @@
 //! * [`WordPieceEncoder`] — greedy longest-match encoding of words into
 //!   subword ids.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::rc::Rc;
 
 /// Id of the unknown token, always present at index 0.
 pub const UNK_ID: u32 = 0;
@@ -127,8 +129,13 @@ impl WordPieceTrainer {
 
     /// Trains a vocabulary from an iterator of words (typically the output
     /// of [`crate::tokenize::word_tokens`] over the corpus).
+    ///
+    /// Byte-pair merging with the pair counts kept across merges: a merge
+    /// re-counts only the words that contain its pair, and the best pair
+    /// comes from a lazily invalidated max-heap. The vocabulary is the one
+    /// a full recount of every pair before every merge would produce
+    /// (DESIGN.md §16 states the invariants).
     pub fn train<'a, I: IntoIterator<Item = &'a str>>(&self, words: I) -> WordPieceVocab {
-        // Count word frequencies.
         let mut word_freq: HashMap<&str, usize> = HashMap::new();
         for w in words {
             if !w.is_empty() {
@@ -136,76 +143,151 @@ impl WordPieceTrainer {
             }
         }
 
-        // Represent each word as a sequence of pieces, starting from single
-        // characters; continuations carry the ## prefix.
-        let mut sequences: Vec<(Vec<String>, usize)> = word_freq
-            .iter()
+        // Each word starts as its characters; continuations carry `##`.
+        // The map's iteration order decides piece ids, which never decide
+        // a merge: the heap orders pairs by their text.
+        let mut table = PieceTable::default();
+        let mut sequences: Vec<(Vec<u32>, usize)> = word_freq
+            .into_iter()
             .map(|(w, f)| {
-                let pieces: Vec<String> = w
+                let pieces = w
                     .chars()
                     .enumerate()
                     .map(|(i, c)| {
                         if i == 0 {
-                            c.to_string()
+                            table.intern(c.encode_utf8(&mut [0; 4]))
                         } else {
-                            format!("##{c}")
+                            table.intern(&format!("##{c}"))
                         }
                     })
                     .collect();
-                (pieces, *f)
+                (pieces, f)
             })
             .collect();
-        // Deterministic iteration order regardless of HashMap hashing.
-        sequences.sort_by(|a, b| a.0.cmp(&b.0));
 
         // Seed vocabulary: all single-character pieces.
-        let mut vocab: Vec<String> = Vec::new();
-        let mut seen: HashMap<String, ()> = HashMap::new();
-        for (pieces, _) in &sequences {
-            for p in pieces {
-                if seen.insert(p.clone(), ()).is_none() {
-                    vocab.push(p.clone());
-                }
-            }
-        }
+        let mut vocab: Vec<String> = table.text.iter().map(|t| t.to_string()).collect();
         vocab.sort();
 
-        // Iteratively merge the most frequent adjacent pair.
-        while vocab.len() + 1 < self.vocab_size {
-            let mut pair_freq: HashMap<(String, String), usize> = HashMap::new();
-            for (pieces, f) in &sequences {
-                for pair in pieces.windows(2) {
-                    *pair_freq
-                        .entry((pair[0].clone(), pair[1].clone()))
-                        .or_default() += f;
-                }
+        let mut counts: HashMap<Pair, usize> = HashMap::new();
+        let mut occurs: HashMap<Pair, Vec<u32>> = HashMap::new();
+        for (wi, (pieces, f)) in sequences.iter().enumerate() {
+            for w in pieces.windows(2) {
+                *counts.entry((w[0], w[1])).or_default() += f;
+                occurs.entry((w[0], w[1])).or_default().push(wi as u32);
             }
-            // Deterministic best pair: max frequency, ties by lexicographic order.
-            let best = pair_freq
-                .into_iter()
-                .filter(|(_, f)| *f >= self.min_pair_frequency)
-                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)));
-            let Some(((left, right), _)) = best else {
+        }
+        let mut heap: BinaryHeap<Candidate> = counts
+            .iter()
+            .map(|(&pair, &count)| table.candidate(pair, count))
+            .collect();
+
+        let mut delta: HashMap<Pair, isize> = HashMap::new();
+        while vocab.len() + 1 < self.vocab_size {
+            // Entries whose count is no longer the pair's count are stale.
+            let Some(best) =
+                std::iter::from_fn(|| heap.pop()).find(|c| counts.get(&c.pair) == Some(&c.count))
+            else {
                 break;
             };
+            if best.count < self.min_pair_frequency {
+                break;
+            }
+            let (left, right) = best.pair;
+            let merged_text = merge_pieces(&table.text[left as usize], &table.text[right as usize]);
+            let merged = table.intern(&merged_text);
 
-            let merged = merge_pieces(&left, &right);
-            for (pieces, _) in &mut sequences {
+            // A list may name a word twice, or a word a merge has since
+            // changed; a word without the pair is skipped.
+            for wi in occurs.remove(&best.pair).unwrap_or_default() {
+                let (pieces, f) = &mut sequences[wi as usize];
+                if !pieces.windows(2).any(|w| (w[0], w[1]) == best.pair) {
+                    continue;
+                }
+                let f = *f as isize;
+                for w in pieces.windows(2) {
+                    *delta.entry((w[0], w[1])).or_default() -= f;
+                }
                 let mut i = 0;
                 while i + 1 < pieces.len() {
                     if pieces[i] == left && pieces[i + 1] == right {
-                        pieces[i] = merged.clone();
+                        pieces[i] = merged;
                         pieces.remove(i + 1);
                     } else {
                         i += 1;
                     }
                 }
+                // Windows without the merged piece were already in this
+                // word, which is therefore already on their lists.
+                for w in pieces.windows(2) {
+                    *delta.entry((w[0], w[1])).or_default() += f;
+                    if w[0] == merged || w[1] == merged {
+                        occurs.entry((w[0], w[1])).or_default().push(wi);
+                    }
+                }
             }
-            vocab.push(merged);
+            for (pair, d) in delta.drain() {
+                if d == 0 {
+                    continue;
+                }
+                let count = counts.get(&pair).map_or(0, |&c| c as isize) + d;
+                if count > 0 {
+                    counts.insert(pair, count as usize);
+                    heap.push(table.candidate(pair, count as usize));
+                } else {
+                    counts.remove(&pair);
+                }
+            }
+            vocab.push(merged_text);
         }
 
         WordPieceVocab::from_pieces(vocab)
     }
+}
+
+/// An adjacent pair of interned piece ids.
+type Pair = (u32, u32);
+
+/// Pieces interned by their text, so two pairs whose merges spell the same
+/// string yield the same id — exactly as string equality would.
+#[derive(Default)]
+struct PieceTable {
+    text: Vec<Rc<str>>,
+    ids: HashMap<Rc<str>, u32>,
+}
+
+impl PieceTable {
+    fn intern(&mut self, piece: &str) -> u32 {
+        if let Some(&id) = self.ids.get(piece) {
+            return id;
+        }
+        let id = self.text.len() as u32;
+        let text: Rc<str> = Rc::from(piece);
+        self.text.push(text.clone());
+        self.ids.insert(text, id);
+        id
+    }
+
+    fn candidate(&self, pair: Pair, count: usize) -> Candidate {
+        Candidate {
+            count,
+            text: Reverse((
+                self.text[pair.0 as usize].clone(),
+                self.text[pair.1 as usize].clone(),
+            )),
+            pair,
+        }
+    }
+}
+
+/// A max-heap entry: the highest count wins, ties go to the
+/// lexicographically smallest `(left, right)` text. `pair` is a function
+/// of `text`, so it never decides the order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Candidate {
+    count: usize,
+    text: Reverse<(Rc<str>, Rc<str>)>,
+    pair: Pair,
 }
 
 /// Concatenates two pieces, keeping the `##` continuation marker semantics:
@@ -347,6 +429,169 @@ impl WordPieceEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference trainer: recounts every adjacent pair of every word
+    /// before each merge, then rewrites every word. The incremental
+    /// [`WordPieceTrainer::train`] must match it piece for piece.
+    fn train_naive<'a, I: IntoIterator<Item = &'a str>>(
+        trainer: &WordPieceTrainer,
+        words: I,
+    ) -> WordPieceVocab {
+        let mut word_freq: HashMap<&str, usize> = HashMap::new();
+        for w in words {
+            if !w.is_empty() {
+                *word_freq.entry(w).or_default() += 1;
+            }
+        }
+        let mut sequences: Vec<(Vec<String>, usize)> = word_freq
+            .iter()
+            .map(|(w, f)| {
+                let pieces: Vec<String> = w
+                    .chars()
+                    .enumerate()
+                    .map(|(i, c)| {
+                        if i == 0 {
+                            c.to_string()
+                        } else {
+                            format!("##{c}")
+                        }
+                    })
+                    .collect();
+                (pieces, *f)
+            })
+            .collect();
+        sequences.sort_by(|a, b| a.0.cmp(&b.0));
+
+        let mut vocab: Vec<String> = Vec::new();
+        let mut seen: HashMap<String, ()> = HashMap::new();
+        for (pieces, _) in &sequences {
+            for p in pieces {
+                if seen.insert(p.clone(), ()).is_none() {
+                    vocab.push(p.clone());
+                }
+            }
+        }
+        vocab.sort();
+
+        while vocab.len() + 1 < trainer.vocab_size {
+            let mut pair_freq: HashMap<(String, String), usize> = HashMap::new();
+            for (pieces, f) in &sequences {
+                for pair in pieces.windows(2) {
+                    *pair_freq
+                        .entry((pair[0].clone(), pair[1].clone()))
+                        .or_default() += f;
+                }
+            }
+            let best = pair_freq
+                .into_iter()
+                .filter(|(_, f)| *f >= trainer.min_pair_frequency)
+                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)));
+            let Some(((left, right), _)) = best else {
+                break;
+            };
+            let merged = merge_pieces(&left, &right);
+            for (pieces, _) in &mut sequences {
+                let mut i = 0;
+                while i + 1 < pieces.len() {
+                    if pieces[i] == left && pieces[i + 1] == right {
+                        pieces[i] = merged.clone();
+                        pieces.remove(i + 1);
+                    } else {
+                        i += 1;
+                    }
+                }
+            }
+            vocab.push(merged);
+        }
+        WordPieceVocab::from_pieces(vocab)
+    }
+
+    /// Both trainers' piece lists, in id order.
+    fn both(words: &[&str], vocab_size: usize, min_pair_frequency: usize) -> [Vec<String>; 2] {
+        let trainer = WordPieceTrainer {
+            vocab_size,
+            min_pair_frequency,
+        };
+        let pieces = |v: WordPieceVocab| -> Vec<String> { v.into() };
+        [
+            pieces(trainer.train(words.iter().copied())),
+            pieces(train_naive(&trainer, words.iter().copied())),
+        ]
+    }
+
+    /// Word parts drawn by the differential property: repeated characters
+    /// (overlapping pairs), multi-byte UTF-8, `#` (pieces that look like
+    /// continuation markers) and parts whose merges collide on one string
+    /// (`ab`+`##c` and `a`+`##bc` both spell `abc`).
+    const PARTS: &[&str] = &[
+        "a", "b", "c", "ab", "bc", "abc", "aa", "aaaa", "é", "漢字", "ß", "#", "x",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn incremental_trainer_matches_naive_recount(
+            words in prop::collection::vec(
+                prop::collection::vec(prop::sample::select(PARTS.to_vec()), 1..5)
+                    .prop_map(|parts| parts.concat()),
+                0..40,
+            ),
+            vocab_size in prop::sample::select(vec![1usize, 2, 8, 12, 16, 24, 40, 400]),
+            min_pair_frequency in 1usize..4,
+        ) {
+            let words: Vec<&str> = words.iter().map(|w| w.as_str()).collect();
+            let [incremental, naive] = both(&words, vocab_size, min_pair_frequency);
+            prop_assert_eq!(incremental, naive, "words {:?}", words);
+        }
+    }
+
+    #[test]
+    fn overlapping_pairs_count_like_windows() {
+        // "aaaa" holds (a,##a) once and (##a,##a) twice per occurrence.
+        let words = ["aaaa", "aaaa", "aaa", "baaab"];
+        for size in 2..12 {
+            for min in 1..4 {
+                let [incremental, naive] = both(&words, size, min);
+                assert_eq!(incremental, naive, "vocab_size {size}, min {min}");
+            }
+        }
+    }
+
+    #[test]
+    fn colliding_merges_share_one_piece() {
+        // "abc" is reachable as ab+##c and as a+##bc; both words must end
+        // up on the one "abc" piece, which is pushed (and deduplicated) once
+        // per merge that spells it.
+        let words = ["abc", "abc", "abx", "abx", "zbc", "zbc", "abc"];
+        for size in 2..16 {
+            let [incremental, naive] = both(&words, size, 2);
+            assert_eq!(incremental, naive, "vocab_size {size}");
+        }
+        let [full, _] = both(&words, 64, 1);
+        assert_eq!(full.iter().filter(|p| *p == "abc").count(), 1);
+    }
+
+    #[test]
+    fn multibyte_words_train_identically() {
+        let words = ["漢字漢字", "漢字", "héllo", "héllo", "wörld", "wörld", "ßß"];
+        for size in 2..24 {
+            let [incremental, naive] = both(&words, size, 1);
+            assert_eq!(incremental, naive, "vocab_size {size}");
+        }
+    }
+
+    #[test]
+    fn corpus_sized_fit_matches_naive_recount() {
+        let text = "we need to report him to the platform reporting reported reporter \
+                    mass flag her account flagging flagged raid the stream raiding \
+                    post his address and phone number doxing doxxed harass harassment";
+        let words: Vec<&str> = text.split_whitespace().cycle().take(3_000).collect();
+        for (size, min) in [(64, 2), (128, 1), (256, 3), (4_096, 2)] {
+            let [incremental, naive] = both(&words, size, min);
+            assert_eq!(incremental, naive, "vocab_size {size}, min {min}");
+        }
+    }
 
     fn train_on(words: &[&str], vocab_size: usize) -> WordPieceEncoder {
         let trainer = WordPieceTrainer {
